@@ -137,7 +137,9 @@ let exhaustive_one ?store ~checker ~use_cache ~max_execs ~jobs ~prune ~engine ~p
     Format.printf "  profile: %d rf queries (%d fast, %d rejected), %d snapshots, %d restores, \
                    check cache %d/%d@."
       s.rf_queries s.rf_fast s.rf_rejected s.snapshots s.restores s.check.cache_hits
-      (s.check.cache_hits + s.check.cache_misses)
+      (s.check.cache_hits + s.check.cache_misses);
+    Format.printf "  profile: equivalence cuts: %d at scheduling points, %d at reads-from choices@."
+      (s.pruned_equiv - s.pruned_equiv_choice) s.pruned_equiv_choice
   end;
   r
 
@@ -190,7 +192,7 @@ let replay_one ~checker ~use_cache ~decisions (b : B.t) ~ords (t : B.test) =
     | Pruned_loop_bound _ -> "pruned (loop bound)"
     | Pruned_max_actions -> "pruned (max actions)"
     | Pruned_sleep_set -> "pruned (sleep set)"
-    | Pruned_equiv -> "pruned (equivalence)"
+    | Pruned_equiv _ -> "pruned (equivalence)"
   in
   Format.printf "%s/%s: replayed %d decisions, %s@." b.name t.test_name (List.length decisions)
     outcome;
@@ -204,6 +206,7 @@ let replay_one ~checker ~use_cache ~decisions (b : B.t) ~ords (t : B.test) =
         pruned_loop_bound = 0;
         pruned_max_actions = 0;
         pruned_equiv = 0;
+        pruned_equiv_choice = 0;
         distinct_graphs = (if complete then 1 else 0);
         buggy = (if bugs <> [] then 1 else 0);
         time = 0.;

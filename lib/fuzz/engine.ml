@@ -64,7 +64,7 @@ let bugs_of_run ?on_feasible (r : S.run_result) =
     match r.bugs, on_feasible with
     | [], Some check -> check r.exec r.annots
     | builtin, _ -> builtin)
-  | S.Pruned_loop_bound _ | S.Pruned_max_actions | S.Pruned_sleep_set | S.Pruned_equiv -> []
+  | S.Pruned_loop_bound _ | S.Pruned_max_actions | S.Pruned_sleep_set | S.Pruned_equiv _ -> []
 
 let replay ?(scheduler = default_config.scheduler) ?on_feasible ~decisions main =
   let scheduler = { scheduler with S.sleep_sets = false } in
@@ -149,7 +149,7 @@ let run ?(config = default_config) ?on_feasible
     | S.Pruned_loop_bound _ -> incr pruned_loop
     | S.Pruned_max_actions -> incr pruned_max
     | S.Pruned_sleep_set -> () (* unreachable: sleep sets are disabled *)
-    | S.Pruned_equiv -> () (* unreachable: no [prune] callback is passed *));
+    | S.Pruned_equiv _ -> () (* unreachable: no [prune] callback is passed *));
     if !continue_ then begin
       let capped =
         match config.max_executions with Some m -> !executions >= m | None -> false
@@ -197,6 +197,7 @@ let explorer_result (r : result) : Mc.Explorer.result =
         pruned_max_actions = r.stats.pruned_max_actions;
         pruned_sleep_set = 0;
         pruned_equiv = 0;
+        pruned_equiv_choice = 0;
         distinct_graphs = r.stats.coverage;
         buggy = r.stats.buggy;
         truncated = r.stats.truncated;

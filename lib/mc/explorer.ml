@@ -41,6 +41,7 @@ type stats = {
   pruned_max_actions : int;
   pruned_sleep_set : int;
   pruned_equiv : int;
+  pruned_equiv_choice : int;  (* of [pruned_equiv]: cuts at reads-from/CAS choice points *)
   distinct_graphs : int;
   buggy : int;
   truncated : bool;
@@ -64,9 +65,11 @@ type result = {
   first_buggy_exec : C11.Execution.t option;
   graphs : int64 list;
   closed : Scheduler.prune_key list;
-      (* decision-point states whose subtrees this search fully explored —
-         what the persistent store saves so a later identical run can
-         prune them without re-exploring ([] with pruning off) *)
+      (* the frontier of the decision-point states whose subtrees this
+         search fully explored (closed states whose parent decision was
+         not closed) — what the persistent store saves so a later
+         identical run can prune them without re-exploring ([] with
+         pruning off) *)
 }
 
 (* Decision records are mutated by [backtrack]; a prefix handed to
@@ -77,16 +80,17 @@ type result = {
 let copy_decision : Scheduler.decision -> Scheduler.decision = function
   | Scheduler.Sched d ->
     Scheduler.Sched { sched_chosen = d.sched_chosen; candidates = d.candidates; state = d.state }
-  | Choice d -> Choice { choice_chosen = d.choice_chosen; num = d.num }
+  | Choice d ->
+    Choice { choice_chosen = d.choice_chosen; num = d.num; choice_state = d.choice_state }
 
 (* Advance [trace] to the next unexplored branch: drop exhausted trailing
    decisions and bump the deepest one with alternatives left. Returns
    false when the whole (sub)tree has been explored. The first [frozen]
    decisions are never flipped or popped: they pin the subtree being
    explored (the parallel explorer freezes a prefix per work item).
-   [close] is called with the state key of every popped scheduling
-   decision — popping it means its subtree is now fully explored, which
-   is what arms equivalence pruning against that state. *)
+   [close] is called with the state key of every popped decision —
+   popping it means its subtree is now fully explored, which is what
+   arms equivalence pruning against that state. *)
 let backtrack ?(frozen = 0) ?close (trace : Scheduler.decision Vec.t) =
   let rec go () =
     if Vec.length trace <= frozen then false
@@ -98,11 +102,8 @@ let backtrack ?(frozen = 0) ?close (trace : Scheduler.decision Vec.t) =
       | Choice d when d.choice_chosen + 1 < d.num ->
         d.choice_chosen <- d.choice_chosen + 1;
         true
-      | Sched { state; _ } ->
+      | Sched { state; _ } | Choice { choice_state = state; _ } ->
         (match state, close with Some k, Some f -> f k | _ -> ());
-        ignore (Vec.pop trace);
-        go ()
-      | Choice _ ->
         ignore (Vec.pop trace);
         go ()
     end
@@ -135,6 +136,7 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
   let pruned_max = ref 0 in
   let pruned_sleep = ref 0 in
   let pruned_equiv = ref 0 in
+  let pruned_equiv_choice = ref 0 in
   let buggy = ref 0 in
   let truncated = ref false in
   let seen_bugs : (string, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -148,7 +150,22 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
      and the DFS-first representative of every state is therefore never
      pruned. *)
   let visited : (Scheduler.prune_key, unit) Hashtbl.t = Hashtbl.create 256 in
-  let close k = Hashtbl.replace visited k () in
+  (* The export is only the frontier of [visited]: [frontier.(i)] holds
+     the closed keys of depth-[i] decisions whose parent (the decision
+     at depth [i - 1]) is still open. Closing a decision subsumes every
+     key closed below it, since a later run of the same program reaches
+     those states only through it; a complete serial search is left
+     with its root key alone. *)
+  let frontier : Scheduler.prune_key list Vec.t = Vec.create () in
+  let close k =
+    Hashtbl.replace visited k ();
+    let i = Vec.length trace - 1 in
+    if Vec.length frontier > i + 1 then Vec.truncate frontier (i + 1);
+    while Vec.length frontier <= i do
+      Vec.push frontier []
+    done;
+    Vec.set frontier i (k :: Vec.get frontier i)
+  in
   (* [warm] is a read-only set of states proven fully explored by an
      earlier run of the *same* program/config (the persistent store's
      closed prune keys). It is consulted alongside [visited] but never
@@ -248,7 +265,9 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
     | Pruned_loop_bound _ -> incr pruned_loop
     | Pruned_max_actions -> incr pruned_max
     | Pruned_sleep_set -> incr pruned_sleep
-    | Pruned_equiv -> incr pruned_equiv);
+    | Pruned_equiv { at_choice } ->
+      incr pruned_equiv;
+      if at_choice then incr pruned_equiv_choice);
     let stopped = match stop with Some f -> f () | None -> false in
     let capped = match config.max_executions with Some m -> !explored >= m | None -> false in
     if stopped || capped then begin
@@ -307,6 +326,7 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
         pruned_max_actions = !pruned_max;
         pruned_sleep_set = !pruned_sleep;
         pruned_equiv = !pruned_equiv;
+        pruned_equiv_choice = !pruned_equiv_choice;
         distinct_graphs = Hashtbl.length graphs;
         buggy = !buggy;
         truncated = !truncated;
@@ -326,7 +346,7 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
     first_buggy_trace = !first_buggy_trace;
     first_buggy_exec = !first_buggy_exec;
     graphs = graph_list;
-    closed = Hashtbl.fold (fun k () acc -> k :: acc) visited [];
+    closed = List.concat (Vec.to_list frontier);
   }
 
 let explore ?config ?on_feasible ?check ?warm main =

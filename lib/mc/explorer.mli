@@ -59,6 +59,9 @@ type stats = {
   pruned_equiv : int;
       (** runs cut by equivalence pruning: their decision-point state key
           matched an already fully-explored one *)
+  pruned_equiv_choice : int;
+      (** the part of [pruned_equiv] cut at reads-from/CAS choice points;
+          the rest were cut at scheduling points *)
   distinct_graphs : int;
       (** distinct feasible execution graphs, by canonical fingerprint
           ({!C11.Execution.fingerprint}); the coverage denominator
@@ -115,11 +118,16 @@ type result = {
           execution graph — what the pruned-vs-unpruned differential
           tests compare, and what {!Parallel} unions across subtrees *)
   closed : Scheduler.prune_key list;
-      (** decision-point states whose subtrees this search fully explored
-          (the keys equivalence pruning armed itself with, in no
-          particular order). The persistent cross-run store saves these so
-          a later run of the identical program/config can preload them via
-          [warm] and skip the corresponding subtrees. Empty with
+      (** the frontier of the decision-point states whose subtrees this
+          search fully explored: the closed keys whose parent decision
+          was not closed, in no particular order. A later run of the
+          identical program reaches any other closed state only through
+          a frontier one, so the persistent cross-run store saves just
+          these, and a later run preloads them via [warm] to skip the
+          corresponding subtrees. A complete serial search exports its
+          root key alone; truncated and parallel searches also export
+          the closed children of the decisions they left open. The run's
+          own pruning still uses every closed key. Empty with
           [config.prune] off. *)
 }
 
@@ -136,9 +144,10 @@ val copy_decision : Scheduler.decision -> Scheduler.decision
     (sub)tree is exhausted. The first [frozen] decisions (default 0) are
     never flipped or popped — they pin a subtree, which is how
     {!Parallel} partitions the decision tree into independent work items.
-    [close] is called with the state key of every popped scheduling
-    decision: popping means its subtree is fully explored, which is what
-    arms equivalence pruning against that state. *)
+    [close] is called with the state key of every popped decision
+    (scheduling or choice), just before the pop: popping means its
+    subtree is fully explored, which is what arms equivalence pruning
+    against that state. *)
 val backtrack :
   ?frozen:int -> ?close:(Scheduler.prune_key -> unit) -> Scheduler.decision C11.Vec.t -> bool
 

@@ -1,14 +1,16 @@
 module Execution = C11.Execution
 module Vec = C11.Vec
 
-(* The canonical state key of a (fresh, scheduling) decision point: the
+(* The canonical state key of a fresh decision point: the
    execution-graph fingerprint plus the sleeping-thread set. Two decision
    points with equal keys have byte-identical subtrees — the graph
    determines every thread's continuation (thread code is deterministic
    in the values its operations returned, all of which the fingerprint
    digests), and the sleep set determines which schedules the DFS will
-   bother exploring from here. The explorer prunes a fresh decision
-   point whose key matches an already fully-explored one. *)
+   bother exploring from here. Reads-from/CAS choice points salt [fp]
+   with the choosing thread (see [choice_key]). The explorer prunes a
+   fresh decision point whose key matches an already fully-explored
+   one. *)
 type prune_key = { fp : int64; sleeping : int list; nacts : int }
 
 type sched_decision = {
@@ -17,7 +19,11 @@ type sched_decision = {
   state : prune_key option;  (* key at creation; None under replay-only construction *)
 }
 
-type choice_decision = { mutable choice_chosen : int; num : int }
+type choice_decision = {
+  mutable choice_chosen : int;
+  num : int;
+  choice_state : prune_key option;  (* as [state] *)
+}
 
 type decision =
   | Sched of sched_decision
@@ -62,7 +68,7 @@ type outcome =
   | Pruned_loop_bound of { tid : int; loc : int }
   | Pruned_max_actions
   | Pruned_sleep_set
-  | Pruned_equiv
+  | Pruned_equiv of { at_choice : bool }
 
 type run_result = {
   exec : Execution.t;
@@ -162,6 +168,7 @@ type state = {
   mutable s_snaps : snapshot Vec.t option;  (* the session's snapshot store *)
   mutable step_snap : snapshot option;  (* current step's start snapshot *)
   mutable step_sleep0 : int;  (* sleep mask at the current step's start *)
+  mutable step_slept : int;  (* siblings the current step's Sched decision put to sleep *)
   mutable hook_c0 : int;  (* first hook-snapshotted decision index this step *)
   mutable n_hook_snaps : int;
 }
@@ -217,27 +224,6 @@ let initial_choice st d =
     let i = f d in
     if i < 0 || i >= decision_arity d then 0 else i
 
-(* Decision points: consume the replayed prefix, then extend with the
-   default choice. Trivial (single-alternative) points are not recorded. *)
-let choose st num =
-  if num <= 1 then 0
-  else if st.cursor < Vec.length st.trace then begin
-    match Vec.get st.trace st.cursor with
-    | Choice d ->
-      (* replay must be deterministic: same prefix, same alternatives *)
-      assert (d.num = num);
-      st.cursor <- st.cursor + 1;
-      d.choice_chosen
-    | Sched _ -> assert false
-  end
-  else begin
-    let d = { choice_chosen = 0; num } in
-    d.choice_chosen <- initial_choice st (Choice d);
-    Vec.push st.trace (Choice d);
-    st.cursor <- st.cursor + 1;
-    d.choice_chosen
-  end
-
 (* Thread sets on the scheduling hot path (sleep sets, available
    candidates) are int bitmasks over tids — [add_thread] bounds tids to
    the word size. Bits ascend with tids, so iterating bits in order
@@ -277,7 +263,7 @@ let choose_sched st ~sleep ~avail ~nav =
               nacts = Execution.num_actions st.exec;
             }
           in
-          if seen key then raise (Prune Pruned_equiv);
+          if seen key then raise (Prune (Pruned_equiv { at_choice = false }));
           Some key
       in
       let candidates = Array.make nav 0 in
@@ -371,6 +357,83 @@ let dependent f1 f2 =
   | Pure, _ | _, Pure -> false
   | Global, _ | _, Global -> true
   | Mem a, Mem b -> a.loc = b.loc && (a.write || b.write)
+
+(* A sleeping thread stays asleep while every footprint of the committed
+   step is independent of its pending operation. Threads without a known
+   pending operation (not yet started) are conservatively woken. *)
+let keep_asleep st footprints tid =
+  match get_status st tid with
+  | Paused (op, _) ->
+    let f = op_footprint op in
+    List.for_all (fun g -> not (dependent g f)) footprints
+  | Not_started _ | Finished -> false
+
+(* The threads of sleep mask [m] that stay asleep across [footprints]
+   (0 with sleep sets off). Filtering is per thread against a status
+   that cannot change while it sleeps, so filtering by a step's
+   footprints in several slices equals filtering by all of them at
+   once. *)
+let filter_sleep st m footprints =
+  if (not st.config.sleep_sets) || m = 0 then 0
+  else begin
+    let out = ref 0 in
+    for u = 0 to st.nthreads - 1 do
+      if m land (1 lsl u) <> 0 && keep_asleep st footprints u then out := !out lor (1 lsl u)
+    done;
+    !out
+  end
+
+(* The sleep mask the current step would leave behind were it to end
+   here: the step-start mask plus the siblings the step's Sched decision
+   slept, filtered by the footprints committed so far this step. *)
+let step_sleep_so_far st =
+  filter_sleep st (st.step_sleep0 lor st.step_slept) st.step_footprints
+
+(* The prune key of a fresh reads-from/CAS choice point, taken before
+   the choosing operation commits. What follows the choice is a function
+   of the graph (every thread's continuation), of which thread is mid-
+   operation — the fingerprint is salted with it, so equal graphs whose
+   choices belong to different threads never match — and of the sleep
+   mask the step leaves behind. Of that mask's filtering, the footprints
+   still to come are again a function of the graph and the choices
+   below, so the key carries the mask filtered so far. *)
+let choice_key st =
+  let salt = Int64.mul (Int64.of_int (st.cur_tid + 1)) 0x9E3779B97F4A7C15L in
+  {
+    fp = Int64.logxor (Execution.fingerprint st.exec) salt;
+    sleeping = mask_to_list st.nthreads (step_sleep_so_far st);
+    nacts = Execution.num_actions st.exec;
+  }
+
+(* Decision points: consume the replayed prefix, then extend with the
+   default choice. Trivial (single-alternative) points are not recorded.
+   A fresh point is cut when its key matches a fully-explored state. *)
+let choose st num =
+  if num <= 1 then 0
+  else if st.cursor < Vec.length st.trace then begin
+    match Vec.get st.trace st.cursor with
+    | Choice d ->
+      (* replay must be deterministic: same prefix, same alternatives *)
+      assert (d.num = num);
+      st.cursor <- st.cursor + 1;
+      d.choice_chosen
+    | Sched _ -> assert false
+  end
+  else begin
+    let choice_state =
+      match st.prune with
+      | None -> None
+      | Some seen ->
+        let key = choice_key st in
+        if seen key then raise (Prune (Pruned_equiv { at_choice = true }));
+        Some key
+    in
+    let d = { choice_chosen = 0; num; choice_state } in
+    d.choice_chosen <- initial_choice st (Choice d);
+    Vec.push st.trace (Choice d);
+    st.cursor <- st.cursor + 1;
+    d.choice_chosen
+  end
 
 (* Execute a visible operation for [tid] and return the value to resume
    the thread with. *)
@@ -527,16 +590,6 @@ let is_enabled st tid =
     target < st.nthreads && (match get_status st target with Finished -> true | _ -> false)
   | Paused _ -> true
 
-(* A sleeping thread stays asleep while every footprint of the committed
-   step is independent of its pending operation. Threads without a known
-   pending operation (not yet started) are conservatively woken. *)
-let keep_asleep st footprints tid =
-  match get_status st tid with
-  | Paused (op, _) ->
-    let f = op_footprint op in
-    List.for_all (fun g -> not (dependent g f)) footprints
-  | Not_started _ | Finished -> false
-
 let capture st sleep =
   {
     s_mark = Execution.mark st.exec;
@@ -559,25 +612,11 @@ let capture st sleep =
    ops before it), so a backtrack re-commits only the operation itself,
    not the whole enclosing step. [s_sleep] is the sleep mask the
    operation's own step would have started with had it not been
-   inlined: the enclosing step's start mask filtered by the footprints
-   committed so far this step — the same iterated filtering the
-   per-step recomputation performs, collapsed into one pass (the
-   intermediate statuses cannot change: sleeping threads are paused and
-   never stepped while asleep). *)
+   inlined: [step_sleep_so_far] — the same iterated filtering the
+   per-step recomputation performs, collapsed into one pass (see
+   [filter_sleep]). *)
 let capture_inline st tid =
-  let sleep =
-    let m = st.step_sleep0 in
-    if (not st.config.sleep_sets) || m = 0 then 0
-    else begin
-      let out = ref 0 in
-      for u = 0 to st.nthreads - 1 do
-        if m land (1 lsl u) <> 0 && keep_asleep st st.step_footprints u then
-          out := !out lor (1 lsl u)
-      done;
-      !out
-    end
-  in
-  let sn = capture st sleep in
+  let sn = capture st (step_sleep_so_far st) in
   sn.s_stat.(tid) <- 1;
   st.n_hook_snaps <- st.n_hook_snaps + 1;
   sn
@@ -779,6 +818,7 @@ let mk_state ?pick ?prune ~config ~trace main =
       s_snaps = None;
       step_snap = None;
       step_sleep0 = 0;
+      step_slept = 0;
       hook_c0 = max_int;
       n_hook_snaps = 0;
     }
@@ -1029,31 +1069,21 @@ let run_loop ?session st sleep0 =
       st.step_snap <- snap;
       st.step_sleep0 <- sleep;
       st.hook_c0 <- max_int;
-      let slept_mask, footprints =
+      st.step_slept <- 0;
+      let footprints =
         try
           let tid, slept =
             if !nav = 1 then (!first_av, 0)
             else choose_sched st ~sleep ~avail:!avail ~nav:!nav
           in
-          (slept, step st tid)
+          st.step_slept <- slept;
+          step st tid
         with e ->
           record_snaps c0 snap;
           raise e
       in
       record_snaps c0 snap;
-      let sleep =
-        if not st.config.sleep_sets then 0
-        else begin
-          let m = sleep lor slept_mask in
-          let out = ref 0 in
-          for tid = 0 to st.nthreads - 1 do
-            if m land (1 lsl tid) <> 0 && keep_asleep st footprints tid then
-              out := !out lor (1 lsl tid)
-          done;
-          !out
-        end
-      in
-      loop sleep
+      loop (filter_sleep st (sleep lor st.step_slept) footprints)
     end
   in
   Fun.protect

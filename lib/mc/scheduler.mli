@@ -11,14 +11,29 @@
     for a pending read, so it must wake sleeping readers), or when either
     is a fence (fences read global state — the SC order). *)
 
-(** Canonical state key of a scheduling decision point: the
-    execution-graph fingerprint ({!C11.Execution.fingerprint}), the
-    sorted sleep set, and the committed action count (a cheap extra
-    collision guard). Two decision points with equal keys generate
-    byte-identical subtrees: the graph determines every thread's
-    continuation, and the sleep set determines which schedules the DFS
-    explores from there. The explorer's equivalence pruning cuts a fresh
-    decision point whose key matches an already fully-explored one. *)
+(** Canonical state key of a decision point: the execution-graph
+    fingerprint ({!C11.Execution.fingerprint}), the sorted sleep set,
+    and the committed action count (a cheap extra collision guard). Two
+    decision points with equal keys generate byte-identical subtrees:
+    the graph determines every thread's continuation, and the sleep set
+    determines which schedules the DFS explores from there. The
+    explorer's equivalence pruning cuts a fresh decision point whose key
+    matches an already fully-explored one.
+
+    Both kinds of decision carry a key. At a scheduling point it is
+    taken between steps and [sleeping] is the step's start mask. At a
+    reads-from/CAS choice point it is taken mid-step, before the
+    choosing operation commits, and differs in two ways: [fp] is salted
+    with the choosing thread's id, because the remaining step belongs to
+    that thread — the same graph with a different thread mid-operation
+    is a different state, and the salt also keeps choice keys apart from
+    scheduling keys of the same graph; and [sleeping] is the mask the
+    step will leave behind as far as it is known yet — the step-start
+    mask plus the siblings the step's own scheduling decision put to
+    sleep, filtered by the footprints committed so far this step. The
+    footprints still to come are a function of the graph and of the
+    choices below, so two choice points with equal keys end their step
+    with equal masks. *)
 type prune_key = { fp : int64; sleeping : int list; nacts : int }
 
 (** One decision point. [Sched] carries the schedulable (enabled and not
@@ -34,7 +49,15 @@ type sched_decision = {
   state : prune_key option;
 }
 
-type choice_decision = { mutable choice_chosen : int; num : int }
+(** A reads-from or CAS-direction branch with [num] alternatives.
+    [choice_state] is its {!prune_key} (thread-salted, see above),
+    recorded at creation when pruning is on and closed by the explorer
+    on pop exactly like a [Sched] decision's [state]. *)
+type choice_decision = {
+  mutable choice_chosen : int;
+  num : int;
+  choice_state : prune_key option;
+}
 
 type decision =
   | Sched of sched_decision
@@ -95,10 +118,11 @@ type outcome =
   | Pruned_loop_bound of { tid : int; loc : int }
   | Pruned_max_actions
   | Pruned_sleep_set  (** redundant interleaving cut by the sleep set *)
-  | Pruned_equiv
+  | Pruned_equiv of { at_choice : bool }
       (** subtree cut by equivalence pruning: its state key matched an
           already fully-explored decision point, so every execution graph
-          below it has been visited *)
+          below it has been visited. [at_choice]: the cut point was a
+          reads-from/CAS choice rather than a scheduling point *)
 
 type run_result = {
   exec : C11.Execution.t;
@@ -129,13 +153,13 @@ type run_result = {
     choice).
 
     [prune], when given, is consulted at every *fresh* non-trivial
-    scheduling decision point with the point's {!prune_key}; returning
-    [true] aborts the run with outcome {!Pruned_equiv} (the caller has
-    already fully explored an identical state, so the subtree can only
-    repeat known graphs). When it returns [false] the key is recorded in
-    the decision's [state] field so the caller can close it on
-    backtrack. Only the DFS explorer passes this; it is meaningless
-    under [pick]. *)
+    decision point — scheduling or reads-from/CAS choice — with the
+    point's {!prune_key}; returning [true] aborts the run with outcome
+    {!Pruned_equiv} (the caller has already fully explored an identical
+    state, so the subtree can only repeat known graphs). When it returns
+    [false] the key is recorded in the decision ([state] /
+    [choice_state]) so the caller can close it on backtrack. Only the
+    DFS explorer passes this; it is meaningless under [pick]. *)
 val run :
   ?pick:(decision -> int) ->
   ?prune:(prune_key -> bool) ->

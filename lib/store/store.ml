@@ -47,14 +47,29 @@ let read_file path =
     Some s
   with Sys_error _ | End_of_file -> None
 
+let tmp_counter = Atomic.make 0
+
 (* Atomic write: entries must never be observed half-written (the serve
-   daemon's workers and a concurrent CLI run may share a store dir). *)
+   daemon's workers and a concurrent CLI run may share a store dir).
+   Each write gets its own temp file — process id plus a process-wide
+   counter — so concurrent writers of one entry never rename each
+   other's half-written file; the last rename wins, whole. *)
 let write_file path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
+  let tmp =
+    Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ()) (Atomic.fetch_and_add tmp_counter 1)
+  in
+  try
+    let oc = open_out_bin tmp in
+    (try
+       output_string oc content;
+       close_out oc
+     with e ->
+       close_out_noerr oc;
+       raise e);
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 let flush_entries dir = List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) (entry_files dir)
 
@@ -410,13 +425,14 @@ let explore_checked ?store ?stop ?progress ~checker ~use_cache ~max_execs ~jobs 
         stats = { r.stats with distinct_graphs = List.length graphs };
       }
   in
-  (* Save clean, pruning-on runs. Complete runs save unconditionally —
-     including the upgrade of a previously-partial entry once a warm run
-     finishes the job. Clean-but-capped runs save under a [partial] flag
-     keyed by the cap, but only when the truncation is known to come
-     from the cap itself ([stop] runs are cancelled by a client, which
-     looks identical in [truncated]), and never downgrading an entry
-     that is already complete or already covers a larger cap. Buggy
+  (* Save clean, pruning-on runs that add something to the store. With
+     no usable entry, a complete run saves, and so does a clean-but-capped
+     one, under a [partial] flag keyed by the cap — but only when the
+     truncation is known to come from the cap itself ([stop] runs are
+     cancelled by a client, which looks identical in [truncated]). A
+     partial entry is upgraded once a warm run completes; a capped warm
+     run off it adds nothing, since its cap is at most the stored one.
+     A complete entry is final: a warm hit on it never writes. Buggy
      runs never save: bugs would need serializing to reproduce the
      verdict from a hit. *)
   (match store, key with
@@ -425,16 +441,12 @@ let explore_checked ?store ?stop ?progress ~checker ~use_cache ~max_execs ~jobs 
     let cap_partial =
       match stop, max_execs with None, Some n when not complete -> Some n | _ -> None
     in
-    let covered =
+    let adds =
       match stored with
-      | Some e -> (
-        match e.partial, cap_partial with
-        | None, _ -> true (* already complete: never downgrade *)
-        | Some c, Some n -> c >= n
-        | Some _, None -> false)
-      | None -> false
+      | None -> complete || cap_partial <> None
+      | Some e -> e.partial <> None && complete
     in
-    if complete || (cap_partial <> None && not covered) then begin
+    if adds then begin
       let explored =
         match stored with Some e -> e.explored | None -> r.stats.explored
       in

@@ -3,8 +3,8 @@
 
     A store is a directory of binary entry files, each holding the
     artifacts of one fully-completed exploration — the distinct-graph
-    fingerprint set, the closed prune keys ({!Mc.Explorer.result}
-    [closed]), the memoized check-cache verdicts, and (for advisor
+    fingerprint set, the frontier of the closed prune keys
+    ({!Mc.Explorer.result} [closed]), the memoized check-cache verdicts, and (for advisor
     entries) per-test behaviour fingerprint sets. Entries are keyed by a
     canonical fingerprint of everything the result is a function of: the
     program identity (benchmark + test name), the full per-site
@@ -21,8 +21,9 @@
     - {b Clean only, caps scoped}: {!explore_checked} saves entries only
       for bug-free, pruning-on runs — a warm hit never has to reproduce
       serialized bugs; the stored verdict is "clean" and the warm run
-      re-derives everything else. Complete runs save unconditionally.
-      A clean run truncated by its execution cap saves under a [partial]
+      re-derives everything else. A complete run saves when there was
+      no entry or only a partial one; a complete entry is final, so a
+      warm hit on it writes nothing. A clean run truncated by its execution cap saves under a [partial]
       flag recording the cap: its closed prune keys are genuinely
       fully-explored subtrees, but the entry as a whole is incomplete,
       so it only warms later runs whose cap is at most the stored one
@@ -80,8 +81,9 @@ val fingerprint : key -> string
 type entry = {
   graphs : int64 list;  (** sorted canonical execution-graph fingerprints *)
   closed : Mc.Scheduler.prune_key list;
-      (** fully-explored decision-point states — a later identical run
-          preloads these as the explorer's [warm] set *)
+      (** the frontier of the fully-explored decision-point states (for
+          a complete serial run, just the root's key) — a later
+          identical run preloads these as the explorer's [warm] set *)
   check_entries : Cdsspec.Checker.cache_entry list;
   behaviours : (string * int64 list) list;
       (** advisor entries: per-test behaviour fingerprints, test order *)
@@ -97,7 +99,9 @@ type entry = {
     entries. *)
 val load : t -> key -> entry option
 
-(** Atomic (write-to-temp, rename) entry write. *)
+(** Atomic (write-to-temp, rename) entry write. The temp file is unique
+    to the write, so concurrent saves of one key — serve workers, or a
+    CLI run next to a daemon — each succeed and leave one whole entry. *)
 val save : t -> key -> entry -> unit
 
 (** {2 Checked exploration through the store} *)
@@ -121,7 +125,8 @@ val save : t -> key -> entry -> unit
     clean-but-capped runs save partial entries scoped by their cap, a
     partial entry only warms runs whose cap is at most the stored one,
     and the first completing run upgrades the entry in place. Stopped
-    and buggy runs are never saved. Returns the result plus the store
+    and buggy runs are never saved, and neither is a hit on a complete
+    entry. Returns the result plus the store
     disposition ([`Miss] includes a stored entry rejected for a
     too-large cap). *)
 val explore_checked :

@@ -180,7 +180,7 @@ let test_replay_tolerates_garbage () =
   match run_r.outcome with
   | Mc.Scheduler.Complete | Pruned_loop_bound _ | Pruned_max_actions -> ()
   | Pruned_sleep_set -> Alcotest.fail "sleep sets must be off under replay"
-  | Pruned_equiv -> Alcotest.fail "equivalence pruning must be off under replay"
+  | Pruned_equiv _ -> Alcotest.fail "equivalence pruning must be off under replay"
 
 (* ------------------------ fingerprints ---------------------------- *)
 

@@ -198,7 +198,7 @@ let test_backtrack_frozen () =
   let trace : Mc.Scheduler.decision Vec.t = Vec.create () in
   Vec.push trace
     (Mc.Scheduler.Sched { sched_chosen = 0; candidates = [| 0; 1 |]; state = None });
-  Vec.push trace (Mc.Scheduler.Choice { choice_chosen = 0; num = 2 });
+  Vec.push trace (Mc.Scheduler.Choice { choice_chosen = 0; num = 2; choice_state = None });
   (* frozen=1: the Choice flips, then exhausts; the Sched never flips *)
   Alcotest.(check bool) "first flip" true (E.backtrack ~frozen:1 trace);
   Alcotest.(check int) "choice bumped" 1

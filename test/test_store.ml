@@ -294,6 +294,74 @@ let test_partial_capped_runs () =
   Alcotest.(check bool) "complete entry survives capped warm runs" true (d7 = `Hit);
   rm_rf dir
 
+(* A warm hit on a complete entry has nothing to add, so it must not
+   rewrite the entry: every save is a temp write plus a rename, which
+   would give the entry file a new inode. *)
+let test_complete_hit_no_write () =
+  let dir = scratch_dir () in
+  let b =
+    match Structures.Registry.find "Treiber Stack" with
+    | Some b -> b
+    | None -> Alcotest.fail "Treiber Stack registered"
+  in
+  let ords = Ords.default b.B.sites in
+  let t = List.hd b.B.tests in
+  let store = Store.open_dir dir in
+  let cold, d0 = run ~store ~jobs:1 ~prune:true b ~ords t in
+  Alcotest.(check bool) "cold run misses" true (d0 = `Miss);
+  Alcotest.(check bool) "cold run completes" false cold.stats.truncated;
+  let stamp () =
+    List.map
+      (fun p ->
+        let st = Unix.stat p in
+        (p, st.Unix.st_ino, st.Unix.st_mtime))
+      (entry_files dir)
+  in
+  let before = stamp () in
+  Alcotest.(check int) "one entry" 1 (List.length before);
+  for i = 1 to 3 do
+    let warm, d = run ~store ~jobs:1 ~prune:true b ~ords t in
+    Alcotest.(check bool) (Printf.sprintf "warm run %d hits" i) true (d = `Hit);
+    check_semantics ~where:(Printf.sprintf "warm run %d" i) cold warm;
+    Alcotest.(check bool) (Printf.sprintf "warm run %d wrote nothing" i) true (stamp () = before)
+  done;
+  rm_rf dir
+
+(* Two domains saving one key at once: both saves succeed (no shared
+   temp file to rename from under each other) and the entry left behind
+   decodes whole. *)
+let test_concurrent_save () =
+  let dir = scratch_dir () in
+  let s = Store.open_dir dir in
+  let key = default_key [ ("a", C11.Memory_order.Seq_cst) ] in
+  let entry n =
+    {
+      Store.graphs = List.init 2000 (fun i -> Int64.of_int ((n * 100_000) + i));
+      closed = [];
+      check_entries = [];
+      behaviours = [];
+      explored = n;
+      time = 0.;
+      partial = None;
+    }
+  in
+  let writer n () =
+    for _ = 1 to 50 do
+      Store.save s key (entry n)
+    done
+  in
+  let d1 = Domain.spawn (writer 1) and d2 = Domain.spawn (writer 2) in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  ignore (r1, r2);
+  (match Store.load s key with
+  | None -> Alcotest.fail "entry decodes after concurrent saves"
+  | Some e ->
+    Alcotest.(check bool) "entry is one writer's, whole" true (e = entry 1 || e = entry 2));
+  Alcotest.(check int) "no corrupt entries" 0 (Store.stats s).corrupt;
+  Alcotest.(check (list string)) "no temp files left" []
+    (List.filter (fun f -> Filename.check_suffix f ".tmp") (Array.to_list (Sys.readdir dir)));
+  rm_rf dir
+
 (* ------------------------------------------------------------------ *)
 (* Corruption and invalidation *)
 
@@ -423,6 +491,11 @@ let () =
           Alcotest.test_case "registry cold vs warm" `Slow test_registry_differential;
           Alcotest.test_case "parallel cold store" `Quick test_parallel_cold_store;
           Alcotest.test_case "partial capped runs" `Slow test_partial_capped_runs;
+        ] );
+      ( "writes",
+        [
+          Alcotest.test_case "complete hit writes nothing" `Quick test_complete_hit_no_write;
+          Alcotest.test_case "concurrent saves of one key" `Quick test_concurrent_save;
         ] );
       ( "integrity",
         [
